@@ -48,9 +48,7 @@
 #include "common/flight_recorder.h"
 #include "common/simd.h"
 #include "common/slo.h"
-#include "common/timer.h"
-#include "core/cluster.h"
-#include "core/concurrent_server.h"
+#include "core/load_generator.h"
 #include "dcsim/queueing.h"
 
 using namespace sirius;
@@ -127,9 +125,11 @@ measuredZipfClosedLoop(const core::SiriusPipeline &pipeline,
                        size_t queries_per_client, double zipf_skew)
 {
     core::ConcurrentServer server(pipeline, config);
-    core::runClosedLoop(server, config.workers, 10, zipf_skew);
+    core::LoadOptions load;
+    load.zipfSkew = zipf_skew;
+    core::runClosedLoop(server, config.workers, 10, load);
     const auto result = core::runClosedLoop(
-        server, config.workers, queries_per_client, zipf_skew);
+        server, config.workers, queries_per_client, load);
     CacheArm arm;
     arm.qps = result.achievedQps;
     arm.caches = server.snapshot().caches;
@@ -261,19 +261,8 @@ runShardScaling(const std::vector<size_t> &shard_counts,
 
     // Measured per-query service times (serial, unloaded): the ground
     // truth both the projection and the queueing model consume.
-    const auto &queries = core::standardQuerySet();
-    std::vector<double> service_seconds;
-    service_seconds.reserve(queries.size());
-    for (const auto &query : queries) // warm pass: first-touch costs
-        pipeline.process(query);
-    double total = 0.0;
-    for (const auto &query : queries) {
-        Stopwatch watch;
-        pipeline.process(query);
-        service_seconds.push_back(watch.seconds());
-        total += service_seconds.back();
-    }
-    const double mean_service = total / service_seconds.size();
+    const SampleStats service = core::measureServiceSeconds(pipeline);
+    const double mean_service = service.mean();
     const double mu = 1.0 / mean_service;
     std::printf("measured mean service time %.2f ms (mu = %.1f "
                 "queries/s per shard worker)\n\n", mean_service * 1e3,
@@ -304,7 +293,7 @@ runShardScaling(const std::vector<size_t> &shard_counts,
         router.exportMetrics(sink.registry,
                              {{"experiment", "scaling"}, {"arm", arm}});
         const auto fleet = core::projectClosedLoopFleet(
-            service_seconds, shards, shard_config.workers, 1,
+            service.samples(), shards, shard_config.workers, 1,
             queries_per_client);
         if (base_fleet == 0.0)
             base_fleet = fleet.aggregateQps;
@@ -332,17 +321,19 @@ runShardScaling(const std::vector<size_t> &shard_counts,
         cluster.shards = drill_shards;
         cluster.shard = shard_config;
         core::ClusterRouter router(pipeline, cluster);
-        core::ClusterLoadOptions drill;
-        drill.killShard = 0;
-        drill.killShardAt = drill_shards * queries_per_client / 2;
+        const size_t kill_at = drill_shards * queries_per_client / 2;
+        core::LoadOptions drill;
+        drill.beforeRequest = [&router, kill_at](size_t seq) {
+            if (seq == kill_at)
+                router.killShard(0);
+        };
         const auto result = core::runClosedLoop(
             router, drill_shards, queries_per_client, drill);
         const auto stats = router.snapshot();
         const uint64_t failed = stats.outcomes[static_cast<size_t>(
             core::Degradation::Failed)];
         std::printf("killed shard 0 at request %zu of %zu: %.1f qps "
-                    "served, %llu failovers, failed %llu\n",
-                    drill.killShardAt,
+                    "served, %llu failovers, failed %llu\n", kill_at,
                     drill_shards * queries_per_client,
                     result.achievedQps,
                     static_cast<unsigned long long>(stats.failovers),

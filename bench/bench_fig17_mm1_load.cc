@@ -8,7 +8,8 @@
  * against *measurement*: a real single-worker core::ConcurrentServer is
  * driven by the open-loop Poisson generator at each load level, and its
  * measured mean sojourn time is printed next to the M/M/1 prediction and
- * the virtual-time Lindley replay at the same utilization.
+ * the virtual-time Lindley replay (dcsim::simulateQueueEmpirical over
+ * the measured per-query service times) at the same utilization.
  *
  * Run with `--deadline-ms D` to re-plot the same measured curve with
  * the robustness layer enabled: every query gets a D-millisecond budget
@@ -37,9 +38,9 @@
 #include "accel/latency.h"
 #include "bench_util.h"
 #include "common/metrics.h"
-#include "core/cluster.h"
-#include "core/concurrent_server.h"
+#include "core/load_generator.h"
 #include "dcsim/queueing.h"
+#include "dcsim/simulation.h"
 
 using namespace sirius;
 using namespace sirius::accel;
@@ -81,11 +82,9 @@ measuredComparison(const std::string &metrics_out,
     config.qa.fillerDocs = 60;
     const auto pipeline = core::SiriusPipeline::build(config);
 
-    // Ground the capacity estimate on a sequential warm-up pass.
-    core::SiriusServer probe(pipeline);
-    for (const auto &query : core::standardQuerySet())
-        probe.handle(query);
-    const double mu = probe.serviceRate();
+    // Ground the capacity estimate on warm, serial service times.
+    const SampleStats service = core::measureServiceSeconds(pipeline);
+    const double mu = 1.0 / service.mean();
     std::printf("measured service rate mu = %.1f queries/s\n\n", mu);
 
     MetricsRegistry registry;
@@ -114,7 +113,8 @@ measuredComparison(const std::string &metrics_out,
                          rho);
             std::exit(1);
         }
-        const auto replayed = core::loadTest(probe, lambda, 4000);
+        const auto replayed =
+            simulateQueueEmpirical(service.samples(), lambda, 4000);
         char load[16];
         std::snprintf(load, sizeof(load), "%.1f", rho);
         server.exportMetrics(registry,
@@ -178,10 +178,7 @@ deadlineSweep(double deadline_seconds)
     config.qa.fillerDocs = 60;
     const auto pipeline = core::SiriusPipeline::build(config);
 
-    core::SiriusServer probe(pipeline);
-    for (const auto &query : core::standardQuerySet())
-        probe.handle(query);
-    const double mu = probe.serviceRate();
+    const double mu = 1.0 / core::measureServiceSeconds(pipeline).mean();
     std::printf("measured service rate mu = %.1f queries/s; deadline "
                 "%.0f ms\n\n", mu, deadline_seconds * 1e3);
 
@@ -239,10 +236,7 @@ shardedComparison(size_t max_shards)
     config.qa.fillerDocs = 60;
     const auto pipeline = core::SiriusPipeline::build(config);
 
-    core::SiriusServer probe(pipeline);
-    for (const auto &query : core::standardQuerySet())
-        probe.handle(query);
-    const double mu = probe.serviceRate();
+    const double mu = 1.0 / core::measureServiceSeconds(pipeline).mean();
     // Fixed aggregate load at 60% of ONE worker's capacity: every run
     // below fits this machine, so shard count changes only the
     // queueing, never the compute budget.

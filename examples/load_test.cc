@@ -7,7 +7,8 @@
  *
  * Two modes:
  *   replay (default) — service times measured once, queue evolution by a
- *       virtual-time Lindley recursion (fast, deterministic);
+ *       virtual-time Lindley recursion (dcsim::simulateQueueEmpirical;
+ *       fast, deterministic);
  *   real — a core::ConcurrentServer executes every request on worker
  *       threads while the open-loop generator submits Poisson arrivals
  *       in real time (slow, but actually concurrent).
@@ -107,14 +108,27 @@
 #include "common/metrics.h"
 #include "common/slo.h"
 #include "common/trace.h"
-#include "core/cluster.h"
-#include "core/concurrent_server.h"
-#include "core/server.h"
+#include "core/load_generator.h"
+#include "dcsim/simulation.h"
 
 using namespace sirius;
 using namespace sirius::core;
 
 namespace {
+
+/**
+ * The outage drill: kill shard `shard` just before closed-loop request
+ * `killAt` (1-based; 0 disables) and revive it at `reviveAt` (0: stays
+ * dead). `byFault` arms the shard's fault injector instead of an admin
+ * kill, so the shard fails queries loudly (--kill-mode fault).
+ */
+struct Drill
+{
+    size_t killAt = 0;
+    size_t shard = 0;
+    size_t reviveAt = 0;
+    bool byFault = false;
+};
 
 /** Exporter destinations shared by every server the sweep creates. */
 struct Observability
@@ -258,14 +272,17 @@ printSloReport(const SloTracker &tracker)
 }
 
 void
-replaySweep(SiriusServer &server, double capacity, double max_load)
+replaySweep(const SampleStats &service, double max_load)
 {
+    const double capacity = 1.0 / service.mean();
     std::printf("%-12s %12s %14s %14s %14s\n", "load", "offered qps",
                 "mean latency", "p95 latency", "p99 latency");
     for (double rho = 0.1; rho <= max_load + 1e-9; rho += 0.2) {
-        const auto result = loadTest(server, rho * capacity);
+        const double lambda = rho * capacity;
+        const auto result =
+            dcsim::simulateQueueEmpirical(service.samples(), lambda, 5000);
         std::printf("%-12.1f %12.1f %12.2fms %12.2fms %12.2fms\n", rho,
-                    result.offeredQps,
+                    lambda,
                     result.sojournSeconds.mean() * 1e3,
                     result.sojournSeconds.percentile(95) * 1e3,
                     result.sojournSeconds.percentile(99) * 1e3);
@@ -295,6 +312,8 @@ realSweep(const SiriusPipeline &pipeline, double capacity,
           size_t requests, double zipf_skew, Observability &obs)
 {
     config.traceSampleRate = obs.sampleRate;
+    LoadOptions load;
+    load.zipfSkew = zipf_skew;
     std::printf("real executions: %zu workers, queue capacity %zu, %zu "
                 "requests per level\n", config.workers,
                 config.queueCapacity, requests);
@@ -337,8 +356,7 @@ realSweep(const SiriusPipeline &pipeline, double capacity,
         // Distinct id blocks per level keep the shared JSONL unambiguous.
         config.traceIdOffset = 1000000 * static_cast<uint64_t>(++level);
         ConcurrentServer server(pipeline, config);
-        const auto result =
-            runOpenLoop(server, lambda, requests, 31337, zipf_skew);
+        const auto result = runOpenLoop(server, lambda, requests, load);
         obs.collect(server);
         std::printf("%-8.1f %8.1fqps %10.2fms %10.2fms %10.2fms %6llu "
                     "%9llu %7llu\n",
@@ -357,7 +375,7 @@ realSweep(const SiriusPipeline &pipeline, double capacity,
     config.traceIdOffset = 1000000 * static_cast<uint64_t>(level + 1);
     ConcurrentServer server(pipeline, config);
     const auto closed = runClosedLoop(
-        server, config.workers, requests / config.workers, zipf_skew);
+        server, config.workers, requests / config.workers, load);
     std::printf("\nclosed loop (%zu blocking clients): %.1f qps served, "
                 "mean latency %.2f ms\n", config.workers,
                 closed.achievedQps, closed.sojournSeconds.mean() * 1e3);
@@ -423,9 +441,11 @@ void
 clusterSweep(const SiriusPipeline &pipeline, double capacity,
              double max_load, ConcurrentServerConfig shard_config,
              ClusterConfig cluster, size_t requests, double zipf_skew,
-             const ClusterLoadOptions &drill, Observability &obs)
+             const Drill &drill, Observability &obs)
 {
     shard_config.traceSampleRate = obs.sampleRate;
+    LoadOptions load;
+    load.zipfSkew = zipf_skew;
     cluster.shard = shard_config;
     std::printf("cluster: %zu shards x %zu workers each, policy %s, "
                 "hedge %s, failover retries %d\n", cluster.shards,
@@ -450,9 +470,7 @@ clusterSweep(const SiriusPipeline &pipeline, double capacity,
         cluster.shard.traceIdOffset =
             1000000000ULL * static_cast<uint64_t>(++level);
         ClusterRouter router(pipeline, cluster);
-        ClusterLoadOptions options;
-        options.zipfSkew = zipf_skew;
-        const auto result = runOpenLoop(router, lambda, requests, options);
+        const auto result = runOpenLoop(router, lambda, requests, load);
         obs.collect(router);
         std::printf("%-8.1f %8.1fqps %10.2fms %10.2fms %10.2fms %6llu "
                     "%9llu %7llu\n",
@@ -473,16 +491,26 @@ clusterSweep(const SiriusPipeline &pipeline, double capacity,
     ClusterRouter router(pipeline, cluster);
     const size_t clients = cluster.shards * shard_config.workers;
     const size_t per_client = std::max<size_t>(1, requests / clients);
-    ClusterLoadOptions options = drill;
-    options.zipfSkew = zipf_skew;
-    if (drill.killShardAt != 0)
+    if (drill.killAt != 0)
         std::printf("\ndrill: killing shard %zu (%s mode) before "
-                    "request %zu%s\n", drill.killShard,
-                    drill.killByFault ? "fault" : "admin",
-                    drill.killShardAt,
-                    drill.reviveShardAt != 0 ? " (revived later)" : "");
-    const auto closed = runClosedLoop(router, clients, per_client,
-                                      options);
+                    "request %zu%s\n", drill.shard,
+                    drill.byFault ? "fault" : "admin", drill.killAt,
+                    drill.reviveAt != 0 ? " (revived later)" : "");
+    load.beforeRequest = [&router, drill](size_t seq) {
+        if (seq == drill.killAt) {
+            if (drill.byFault)
+                router.setShardFaults(drill.shard, true);
+            else
+                router.killShard(drill.shard);
+        }
+        if (seq == drill.reviveAt) {
+            if (drill.byFault)
+                router.setShardFaults(drill.shard, false);
+            else
+                router.reviveShard(drill.shard);
+        }
+    };
+    const auto closed = runClosedLoop(router, clients, per_client, load);
     std::printf("\nclosed loop (%zu blocking clients): %.1f qps served, "
                 "mean latency %.2f ms\n", clients, closed.achievedQps,
                 closed.sojournSeconds.mean() * 1e3);
@@ -530,7 +558,7 @@ main(int argc, char **argv)
     ConcurrentServerConfig config;
     ClusterConfig cluster;
     cluster.shards = 0; // 0: single-server mode (no cluster)
-    ClusterLoadOptions drill;
+    Drill drill;
     FaultConfig fault_config;
     bool faults_requested = false;
     int retries = -1; // -1: pick a default after parsing
@@ -606,14 +634,13 @@ main(int argc, char **argv)
             cluster.hedgeSeconds = std::atof(argv[++i]) * 1e-3;
         else if (std::strcmp(argv[i], "--kill-shard-at") == 0 &&
                  i + 1 < argc)
-            drill.killShardAt = static_cast<size_t>(std::atoi(argv[++i]));
+            drill.killAt = static_cast<size_t>(std::atoi(argv[++i]));
         else if (std::strcmp(argv[i], "--kill-shard") == 0 &&
                  i + 1 < argc)
-            drill.killShard = static_cast<size_t>(std::atoi(argv[++i]));
+            drill.shard = static_cast<size_t>(std::atoi(argv[++i]));
         else if (std::strcmp(argv[i], "--revive-shard-at") == 0 &&
                  i + 1 < argc)
-            drill.reviveShardAt =
-                static_cast<size_t>(std::atoi(argv[++i]));
+            drill.reviveAt = static_cast<size_t>(std::atoi(argv[++i]));
         else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
             obs.traceOut = argv[++i];
         else if (std::strcmp(argv[i], "--trace-sample") == 0 &&
@@ -716,12 +743,12 @@ main(int argc, char **argv)
     FaultInjector drill_injector(drill_fault_config);
     drill_injector.setEnabled(false);
     if (kill_mode == "fault") {
-        drill.killByFault = true;
+        drill.byFault = true;
         if (cluster.shards == 0)
             fatal("--kill-mode fault needs --shards (the drill is a "
                   "cluster exercise)");
         cluster.shardFaults.assign(cluster.shards, nullptr);
-        cluster.shardFaults[drill.killShard] = &drill_injector;
+        cluster.shardFaults[drill.shard] = &drill_injector;
     }
     cluster.slo = obs.slo;
     cluster.flight = obs.flight;
@@ -731,14 +758,12 @@ main(int argc, char **argv)
     config.slo = obs.slo;
     config.flight = obs.flight;
 
-    std::printf("training the pipeline and starting a leaf server...\n");
+    std::printf("training the pipeline and measuring its service "
+                "time...\n");
     const SiriusPipeline pipeline = SiriusPipeline::build();
-    SiriusServer server(pipeline);
-
-    // Warm measurement pass so the capacity estimate is grounded.
-    for (const auto &query : standardQuerySet())
-        server.handle(query);
-    const double capacity = server.serviceRate();
+    // Warm, serial, per-query service times ground the capacity estimate.
+    const SampleStats service = measureServiceSeconds(pipeline);
+    const double capacity = 1.0 / service.mean();
     std::printf("measured capacity: %.1f queries/s per worker (mean "
                 "service %.2f ms)\n\n", capacity, 1e3 / capacity);
 
@@ -749,7 +774,7 @@ main(int argc, char **argv)
         realSweep(pipeline, capacity, max_load, config, requests,
                   zipf_skew, obs);
     else
-        replaySweep(server, capacity, max_load);
+        replaySweep(service, max_load);
     if (slo_report && obs.slo != nullptr)
         printSloReport(*obs.slo);
     if (real)

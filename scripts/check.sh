@@ -64,6 +64,9 @@ scripts/cluster_smoke.sh
 echo "==> slo: fault-injection drill with burn-rate alerts (scripts/slo_smoke.sh)"
 scripts/slo_smoke.sh
 
+echo "==> load: replay, real and fig17 load-generator smokes (scripts/load_smoke.sh)"
+scripts/load_smoke.sh
+
 if [ "${SKIP_TSAN:-0}" = "1" ]; then
     echo "==> SKIP_TSAN=1: skipping the ThreadSanitizer pass"
     exit 0

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <limits>
 
@@ -811,171 +810,6 @@ ClusterRouter::exportMetrics(MetricsRegistry &registry,
                      labeled({{"shard", id}}))
             .add(shard->probes());
     }
-}
-
-// --------------------------------------------------------------------
-// Cluster load generators (the cluster-shaped twins of the single-
-// server generators in concurrent_server.cc).
-
-MeasuredLoadResult
-runOpenLoop(ClusterRouter &router, double offered_qps, size_t requests,
-            const ClusterLoadOptions &options)
-{
-    if (offered_qps <= 0.0)
-        fatal("runOpenLoop: offered load must be positive");
-
-    using Clock = std::chrono::steady_clock;
-    const auto &queries = standardQuerySet();
-    Rng rng(options.seed);
-    const ZipfSampler zipf(queries.size(),
-                           options.zipfSkew > 0.0 ? options.zipfSkew
-                                                  : 0.0);
-    Rng query_rng(options.seed ^ 0x5a1fULL);
-
-    MeasuredLoadResult result;
-    result.offeredQps = offered_qps;
-    result.offered = requests;
-    const auto before = router.snapshot();
-
-    std::mutex sojourn_mutex;
-    std::vector<double> sojourns;
-    sojourns.reserve(requests);
-
-    const auto start = Clock::now();
-    double arrival = 0.0;
-    uint64_t shed = 0;
-    for (size_t i = 0; i < requests; ++i) {
-        if (options.killShardAt != 0 && i + 1 == options.killShardAt) {
-            if (options.killByFault)
-                router.setShardFaults(options.killShard, true);
-            else
-                router.killShard(options.killShard);
-        }
-        if (options.reviveShardAt != 0 &&
-            i + 1 == options.reviveShardAt) {
-            if (options.killByFault)
-                router.setShardFaults(options.killShard, false);
-            else
-                router.reviveShard(options.killShard);
-        }
-        double u = rng.uniform();
-        while (u <= 1e-300)
-            u = rng.uniform();
-        arrival += -std::log(u) / offered_qps;
-        std::this_thread::sleep_until(
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(arrival)));
-        const auto submitted = Clock::now();
-        const size_t pick = options.zipfSkew > 0.0
-            ? zipf.draw(query_rng)
-            : i % queries.size();
-        const bool admitted = router.submit(
-            queries[pick],
-            [&sojourn_mutex, &sojourns, submitted](const SiriusResult &) {
-                const double s = std::chrono::duration<double>(
-                                     Clock::now() - submitted)
-                                     .count();
-                std::lock_guard<std::mutex> lock(sojourn_mutex);
-                sojourns.push_back(s);
-            });
-        if (!admitted)
-            ++shed;
-    }
-    router.drain();
-
-    result.elapsedSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    result.rejected = shed;
-    {
-        std::lock_guard<std::mutex> lock(sojourn_mutex);
-        result.sojournSeconds.addAll(sojourns);
-        result.completed = sojourns.size();
-    }
-    result.achievedQps = result.elapsedSeconds > 0.0
-        ? static_cast<double>(result.completed) / result.elapsedSeconds
-        : 0.0;
-    const auto after = router.snapshot();
-    result.degraded = after.fleet.degraded - before.fleet.degraded +
-        after.fleet.failed - before.fleet.failed;
-    result.deadlineMisses =
-        after.fleet.deadlineMisses - before.fleet.deadlineMisses;
-    return result;
-}
-
-MeasuredLoadResult
-runClosedLoop(ClusterRouter &router, size_t clients,
-              size_t queries_per_client,
-              const ClusterLoadOptions &options)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto &queries = standardQuerySet();
-    const ZipfSampler zipf(queries.size(),
-                           options.zipfSkew > 0.0 ? options.zipfSkew
-                                                  : 0.0);
-
-    MeasuredLoadResult result;
-    result.offered =
-        static_cast<uint64_t>(clients) * queries_per_client;
-    const auto before = router.snapshot();
-
-    std::mutex merge_mutex;
-    std::atomic<size_t> issued{0};
-    const size_t kill_at = options.killShardAt;
-    const size_t revive_at = options.reviveShardAt;
-    const auto start = Clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&, c] {
-            Rng rng(options.seed + 0x9e3779b97f4a7c15ULL * (c + 1));
-            std::vector<double> mine;
-            mine.reserve(queries_per_client);
-            for (size_t i = 0; i < queries_per_client; ++i) {
-                const size_t seq =
-                    issued.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (kill_at != 0 && seq == kill_at) {
-                    if (options.killByFault)
-                        router.setShardFaults(options.killShard,
-                                              true);
-                    else
-                        router.killShard(options.killShard);
-                }
-                if (revive_at != 0 && seq == revive_at) {
-                    if (options.killByFault)
-                        router.setShardFaults(options.killShard,
-                                              false);
-                    else
-                        router.reviveShard(options.killShard);
-                }
-                const size_t pick = options.zipfSkew > 0.0
-                    ? zipf.draw(rng)
-                    : (c * queries_per_client + i) % queries.size();
-                Stopwatch watch;
-                router.handle(queries[pick]);
-                mine.push_back(watch.seconds());
-            }
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            result.sojournSeconds.addAll(mine);
-        });
-    }
-    for (auto &t : pool)
-        t.join();
-
-    result.elapsedSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    // Hedge legs whose primary already delivered may still be running;
-    // the after-snapshot must not catch them mid-flight.
-    router.drain();
-    result.completed = result.sojournSeconds.count();
-    result.achievedQps = result.elapsedSeconds > 0.0
-        ? static_cast<double>(result.completed) / result.elapsedSeconds
-        : 0.0;
-    const auto after = router.snapshot();
-    result.degraded = after.fleet.degraded - before.fleet.degraded +
-        after.fleet.failed - before.fleet.failed;
-    result.deadlineMisses =
-        after.fleet.deadlineMisses - before.fleet.deadlineMisses;
-    return result;
 }
 
 FleetProjection

@@ -465,46 +465,6 @@ class ClusterRouter
     std::thread hedgeThread_; ///< started only when hedging is on
 };
 
-/**
- * Extra knobs of the cluster load generators (the plain knobs match the
- * single-server generators in concurrent_server.h).
- */
-struct ClusterLoadOptions
-{
-    uint64_t seed = 31337;
-    double zipfSkew = 0.0; ///< > 0: Zipf-skewed query draws
-    /**
-     * Outage drill: administratively kill shard `killShard` just before
-     * submitting request number `killShardAt` (1-based; 0 disables) and
-     * revive it at `reviveShardAt` (0: stays dead). The assertion worth
-     * making afterwards: fleet `failed` stays 0 — routing plus failover
-     * absorb the outage (scripts/cluster_smoke.sh automates it).
-     */
-    size_t killShardAt = 0;
-    size_t killShard = 0;
-    size_t reviveShardAt = 0;
-    /**
-     * Fault-mode twin of the admin drill: when true, the kill/revive
-     * points call ClusterRouter::setShardFaults() instead of
-     * killShard()/reviveShard(), so the shard fails queries loudly
-     * (burning SLO error budget) rather than draining cleanly. The
-     * router must have an injector in shardFaults[killShard]
-     * (scripts/slo_smoke.sh drives this via load_test --kill-mode
-     * fault).
-     */
-    bool killByFault = false;
-};
-
-/** Open-loop Poisson load against a cluster; see runOpenLoop(). */
-MeasuredLoadResult runOpenLoop(ClusterRouter &router, double offered_qps,
-                               size_t requests,
-                               const ClusterLoadOptions &options = {});
-
-/** Closed-loop load against a cluster; see runClosedLoop(). */
-MeasuredLoadResult runClosedLoop(ClusterRouter &router, size_t clients,
-                                 size_t queries_per_client,
-                                 const ClusterLoadOptions &options = {});
-
 /** Virtual-time projection of a closed-loop fleet run. */
 struct FleetProjection
 {
@@ -520,11 +480,11 @@ struct FleetProjection
  * blocking clients replaying *measured* per-query service times
  * (@p service_seconds, cycled round robin with a per-client offset).
  *
- * This is the scale-out counterpart of core::loadTest()'s Lindley
- * replay: a fleet's shards are separate machines in the deployment the
- * paper assumes, so their service capacity adds — a property a
- * single-container measurement cannot show once real threads outnumber
- * real cores (the closed-loop qps just time-slices). The projection
+ * This is the scale-out counterpart of dcsim::simulateQueueEmpirical's
+ * Lindley replay: a fleet's shards are separate machines in the
+ * deployment the paper assumes, so their service capacity adds — a
+ * property a single-container measurement cannot show once real threads
+ * outnumber real cores (the closed-loop qps just time-slices). The projection
  * keeps the *measured* per-query costs and moves only the queueing into
  * virtual time; dcsim::shardedMm1Latency is its analytic cross-check.
  */

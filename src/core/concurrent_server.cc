@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/simd.h"
 #include "common/timer.h"
 
@@ -256,133 +254,6 @@ ConcurrentServer::serviceRate() const
     std::lock_guard<std::mutex> lock(statsMutex_);
     const double mean = stats_.serviceSeconds.mean();
     return mean > 0.0 ? 1.0 / mean : 0.0;
-}
-
-MeasuredLoadResult
-runOpenLoop(ConcurrentServer &server, double offered_qps, size_t requests,
-            uint64_t seed, double zipf_skew)
-{
-    if (offered_qps <= 0.0)
-        fatal("runOpenLoop: offered load must be positive");
-
-    using Clock = std::chrono::steady_clock;
-    const auto &queries = standardQuerySet();
-    Rng rng(seed);
-    // The skewed query draw gets its own stream so turning it on (or
-    // changing the exponent) leaves the Poisson arrival times intact —
-    // cache-on and cache-off runs then see identical arrival processes.
-    const ZipfSampler zipf(queries.size(),
-                           zipf_skew > 0.0 ? zipf_skew : 0.0);
-    Rng query_rng(seed ^ 0x5a1fULL);
-
-    MeasuredLoadResult result;
-    result.offeredQps = offered_qps;
-    result.offered = requests;
-    const auto before = server.snapshot();
-
-    std::mutex sojourn_mutex;
-    std::vector<double> sojourns;
-    sojourns.reserve(requests);
-
-    const auto start = Clock::now();
-    double arrival = 0.0;
-    uint64_t shed = 0;
-    for (size_t i = 0; i < requests; ++i) {
-        double u = rng.uniform();
-        while (u <= 1e-300)
-            u = rng.uniform();
-        arrival += -std::log(u) / offered_qps;
-        std::this_thread::sleep_until(
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(arrival)));
-        const auto submitted = Clock::now();
-        const size_t pick = zipf_skew > 0.0 ? zipf.draw(query_rng)
-                                            : i % queries.size();
-        const bool admitted = server.submit(
-            queries[pick],
-            [&sojourn_mutex, &sojourns, submitted](const SiriusResult &) {
-                const double s = std::chrono::duration<double>(
-                                     Clock::now() - submitted)
-                                     .count();
-                std::lock_guard<std::mutex> lock(sojourn_mutex);
-                sojourns.push_back(s);
-            });
-        if (!admitted)
-            ++shed;
-    }
-    server.drain(); // every completion callback has run past this point
-
-    result.elapsedSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    result.rejected = shed;
-    {
-        std::lock_guard<std::mutex> lock(sojourn_mutex);
-        result.sojournSeconds.addAll(sojourns);
-        result.completed = sojourns.size();
-    }
-    result.achievedQps = result.elapsedSeconds > 0.0
-        ? static_cast<double>(result.completed) / result.elapsedSeconds
-        : 0.0;
-    const auto after = server.snapshot();
-    result.degraded = after.server.degraded - before.server.degraded +
-        after.server.failed - before.server.failed;
-    result.deadlineMisses =
-        after.server.deadlineMisses - before.server.deadlineMisses;
-    return result;
-}
-
-MeasuredLoadResult
-runClosedLoop(ConcurrentServer &server, size_t clients,
-              size_t queries_per_client, double zipf_skew,
-              uint64_t seed)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto &queries = standardQuerySet();
-    const ZipfSampler zipf(queries.size(),
-                           zipf_skew > 0.0 ? zipf_skew : 0.0);
-
-    MeasuredLoadResult result;
-    result.offered =
-        static_cast<uint64_t>(clients) * queries_per_client;
-    const auto before = server.snapshot();
-
-    std::mutex merge_mutex;
-    const auto start = Clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&, c] {
-            Rng rng(seed + 0x9e3779b97f4a7c15ULL * (c + 1));
-            std::vector<double> mine;
-            mine.reserve(queries_per_client);
-            for (size_t i = 0; i < queries_per_client; ++i) {
-                const size_t pick = zipf_skew > 0.0
-                    ? zipf.draw(rng)
-                    : (c * queries_per_client + i) % queries.size();
-                const auto &query = queries[pick];
-                Stopwatch watch;
-                server.handle(query);
-                mine.push_back(watch.seconds());
-            }
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            result.sojournSeconds.addAll(mine);
-        });
-    }
-    for (auto &t : pool)
-        t.join();
-
-    result.elapsedSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    result.completed = result.sojournSeconds.count();
-    result.achievedQps = result.elapsedSeconds > 0.0
-        ? static_cast<double>(result.completed) / result.elapsedSeconds
-        : 0.0;
-    const auto after = server.snapshot();
-    result.degraded = after.server.degraded - before.server.degraded +
-        after.server.failed - before.server.failed;
-    result.deadlineMisses =
-        after.server.deadlineMisses - before.server.deadlineMisses;
-    return result;
 }
 
 } // namespace sirius::core

@@ -6,10 +6,9 @@
  *
  * This is the server shape the paper's Section-3 analysis assumes: a
  * leaf node absorbing a request stream whose latency is queueing plus
- * service. Where core::loadTest() replays *measured* service times
- * through a virtual-time Lindley recursion, the load generators here
- * drive *real* pipeline executions through real threads, so the
- * Figure-17 queueing predictions can be validated against measurement.
+ * service. The load generators in core/load_generator.h drive *real*
+ * pipeline executions through it on real threads, so the Figure-17
+ * queueing predictions can be validated against measurement.
  */
 
 #ifndef SIRIUS_CORE_CONCURRENT_SERVER_H
@@ -286,56 +285,6 @@ class ConcurrentServer
 
     ThreadPool pool_; ///< last member: workers stop before state dies
 };
-
-/** Result of a load-generation run against a ConcurrentServer. */
-struct MeasuredLoadResult
-{
-    double offeredQps = 0.0;    ///< open loop: target arrival rate
-    uint64_t offered = 0;       ///< requests generated
-    uint64_t completed = 0;     ///< requests served to completion
-    uint64_t rejected = 0;      ///< requests shed at admission
-    uint64_t degraded = 0;      ///< served with >= 1 stage shed
-    uint64_t deadlineMisses = 0;///< completed past their deadline
-    double elapsedSeconds = 0.0;
-    double achievedQps = 0.0;   ///< completed / elapsed
-    SampleStats sojournSeconds; ///< submit-to-completion per request
-};
-
-/**
- * Open-loop load generator: Poisson arrivals at @p offered_qps in real
- * time, each arrival submitted to the server regardless of how many are
- * outstanding (the WSC traffic model behind Figure 17). Queries cycle
- * round robin through the standard query set. Sojourn time spans
- * submission to completion, i.e. queueing plus service — directly
- * comparable to dcsim::mm1Latency at the same load.
- *
- * @p zipf_skew > 0 replaces the round-robin query selection with
- * Zipf(zipf_skew)-distributed draws over the standard set (popular
- * queries dominate, the realistic regime for result caches); 0 keeps
- * the round-robin default. The query draw uses its own RNG stream, so
- * the Poisson arrival process is unchanged at equal seeds.
- */
-MeasuredLoadResult runOpenLoop(ConcurrentServer &server,
-                               double offered_qps, size_t requests,
-                               uint64_t seed = 31337,
-                               double zipf_skew = 0.0);
-
-/**
- * Closed-loop load generator: @p clients threads each issue
- * @p queries_per_client standard-set queries back to back, waiting for
- * every response before sending the next (think: one blocking session
- * per user). Sojourn equals service plus any queue wait behind other
- * clients; offeredQps is 0 because a closed loop has no fixed rate.
- *
- * @p zipf_skew > 0 replaces each client's round-robin query selection
- * with Zipf(zipf_skew)-distributed draws over the standard set (seeded
- * per client from @p seed, so runs are reproducible); 0 keeps the
- * round-robin default.
- */
-MeasuredLoadResult runClosedLoop(ConcurrentServer &server, size_t clients,
-                                 size_t queries_per_client,
-                                 double zipf_skew = 0.0,
-                                 uint64_t seed = 424242);
 
 } // namespace sirius::core
 

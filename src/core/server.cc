@@ -1,12 +1,5 @@
 #include "core/server.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
-#include "common/rng.h"
-#include "common/timer.h"
-
 namespace sirius::core {
 
 void
@@ -118,81 +111,6 @@ ServerStats::exportTo(MetricsRegistry &registry,
     registry.histogram("sirius_stage_seconds",
                        labeled({{"stage", "imm"}}))
         .merge(immSeconds);
-}
-
-SiriusServer::SiriusServer(const SiriusPipeline &pipeline)
-    : pipeline_(pipeline)
-{
-}
-
-SiriusResult
-SiriusServer::handle(const Query &query)
-{
-    Stopwatch watch;
-    SiriusResult result = pipeline_.process(query);
-    stats_.record(result, watch.seconds());
-    return result;
-}
-
-SiriusResult
-SiriusServer::handle(const Query &query, const ProcessOptions &options)
-{
-    Stopwatch watch;
-    SiriusResult result = pipeline_.process(query, options);
-    stats_.record(result, watch.seconds());
-    return result;
-}
-
-double
-SiriusServer::serviceRate() const
-{
-    const double mean = stats_.serviceSeconds.mean();
-    return mean > 0.0 ? 1.0 / mean : 0.0;
-}
-
-LoadTestResult
-loadTest(SiriusServer &server, double offered_qps, size_t requests,
-         uint64_t seed)
-{
-    if (offered_qps <= 0.0)
-        fatal("loadTest: offered load must be positive");
-
-    // Phase 1: measure real service times over the standard query set.
-    std::vector<double> service_samples;
-    for (const auto &query : standardQuerySet()) {
-        server.handle(query);
-        service_samples.push_back(
-            server.stats().serviceSeconds.samples().back());
-    }
-
-    // Stability check against the measured mean.
-    double mean_service = 0.0;
-    for (double s : service_samples)
-        mean_service += s;
-    mean_service /= static_cast<double>(service_samples.size());
-    if (offered_qps * mean_service >= 1.0)
-        fatal("loadTest: offered load exceeds the server's capacity");
-
-    // Phase 2: virtual-time Lindley recursion over Poisson arrivals with
-    // the measured service times replayed round robin.
-    Rng rng(seed);
-    LoadTestResult result;
-    result.offeredQps = offered_qps;
-    double clock = 0.0, last_departure = 0.0, busy = 0.0;
-    for (size_t i = 0; i < requests; ++i) {
-        double u = rng.uniform();
-        while (u <= 1e-300)
-            u = rng.uniform();
-        clock += -std::log(u) / offered_qps;
-        const double service =
-            service_samples[i % service_samples.size()];
-        const double start = std::max(clock, last_departure);
-        last_departure = start + service;
-        busy += service;
-        result.sojournSeconds.add(last_departure - clock);
-    }
-    result.utilization = busy / last_departure;
-    return result;
 }
 
 } // namespace sirius::core

@@ -1,10 +1,9 @@
 /**
  * @file
- * Leaf-server front end: the Sirius pipeline behind a request interface
- * with service statistics, plus an open-loop load-test harness that
- * replays Poisson arrivals against *measured* per-query service times
- * (virtual-time Lindley recursion) — connecting the real pipeline to the
- * Figure-17 queueing analysis.
+ * Leaf-server service statistics: the counters and histograms every
+ * Sirius server (ConcurrentServer, and each ClusterRouter shard) folds
+ * its served results into, mergeable into a fleet view and exportable
+ * to a MetricsRegistry.
  */
 
 #ifndef SIRIUS_CORE_SERVER_H
@@ -54,7 +53,7 @@ struct ServerStats
      * Admission-to-dispatch wait, recorded by the concurrent server.
      * Without it, queue delay is indistinguishable from service time in
      * reports — it is only implicitly burned out of the deadline
-     * budget. Always empty for the sequential SiriusServer (no queue).
+     * budget.
      */
     LatencyHistogram queueWaitSeconds;
 
@@ -77,49 +76,6 @@ struct ServerStats
     void exportTo(MetricsRegistry &registry,
                   const MetricLabels &base = {{"server", "leaf"}}) const;
 };
-
-/** A single leaf node serving Sirius queries. */
-class SiriusServer
-{
-  public:
-    /** @param pipeline trained pipeline; must outlive the server. */
-    explicit SiriusServer(const SiriusPipeline &pipeline);
-
-    /** Serve one query, updating the statistics. */
-    SiriusResult handle(const Query &query);
-
-    /** Serve one query under a robustness policy (deadline/retry/faults). */
-    SiriusResult handle(const Query &query,
-                        const ProcessOptions &options);
-
-    /** Statistics since construction. */
-    const ServerStats &stats() const { return stats_; }
-
-    /** Measured mean service rate, queries/s (0 until served). */
-    double serviceRate() const;
-
-  private:
-    const SiriusPipeline &pipeline_;
-    ServerStats stats_;
-};
-
-/** Result of an open-loop load test. */
-struct LoadTestResult
-{
-    double offeredQps = 0.0;
-    double utilization = 0.0;
-    SampleStats sojournSeconds; ///< queueing + service per request
-};
-
-/**
- * Open-loop load test: Poisson arrivals at @p offered_qps, service times
- * replayed from the server's real measured per-query times for the
- * standard query set (round robin), queue evolution by the Lindley
- * recursion in virtual time.
- * @param requests number of simulated requests
- */
-LoadTestResult loadTest(SiriusServer &server, double offered_qps,
-                        size_t requests = 5000, uint64_t seed = 31337);
 
 } // namespace sirius::core
 

@@ -11,8 +11,10 @@
  * never wall-clock values. The fleet projection is pure virtual time.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,7 +25,7 @@
 #include "common/critical_path.h"
 #include "common/fault_injection.h"
 #include "common/flight_recorder.h"
-#include "core/cluster.h"
+#include "core/load_generator.h"
 #include "dcsim/queueing.h"
 
 namespace {
@@ -522,6 +524,135 @@ TEST_F(ClusterFixture, PerShardCachesStayWarmUnderAffinity)
     // answer cache hits from round 2 on.
     const auto stats = router.snapshot();
     EXPECT_GT(stats.caches.answers.hits, 0u);
+}
+
+TEST_F(ClusterFixture, FaultDrillCountsEachDeliveredQueryOnce)
+{
+    // Shard 0 turns fault-mode dead mid-run. Every leg it fails lands
+    // in the fleet's per-leg stats, but failover rescues the query, so
+    // the client — and the generator's degraded count — sees a clean
+    // answer. The count must match the router's delivered outcomes.
+    FaultConfig faults;
+    faults.failureRate = 1.0;
+    FaultInjector drill(faults);
+    drill.setEnabled(false);
+
+    auto config = smallCluster(2, RoutingPolicy::RoundRobin);
+    config.shard.retry.maxRetries = 0;
+    config.shardFaults = {&drill, nullptr};
+    // Keep shard 0 in rotation so failover (not ejection) absorbs it.
+    config.health.minSamples = 1000;
+    ClusterRouter router(*pipeline_, config);
+
+    LoadOptions load;
+    load.beforeRequest = [&router](size_t seq) {
+        if (seq == 9)
+            router.setShardFaults(0, true);
+    };
+    const auto before = router.snapshot();
+    const auto result = runClosedLoop(router, 2, 12, load);
+    const auto after = router.snapshot();
+
+    uint64_t delivered_degraded = 0;
+    for (size_t i = 0; i < kDegradationLevels; ++i) {
+        if (i != static_cast<size_t>(Degradation::None))
+            delivered_degraded += after.outcomes[i] - before.outcomes[i];
+    }
+    EXPECT_GT(after.fleet.failed, 0u) << "the drill never failed a leg";
+    EXPECT_GT(after.failovers, 0u);
+    EXPECT_EQ(result.degraded, delivered_degraded);
+    EXPECT_EQ(delivered_degraded, 0u) << "failover should rescue all";
+}
+
+/** Query texts of the root spans @p server traced, sorted. */
+std::vector<std::string>
+servedTexts(const ConcurrentServer &server)
+{
+    std::vector<std::string> texts;
+    for (const SpanRecord &span : server.traces().snapshot()) {
+        if (span.kind != SpanKind::Query)
+            continue;
+        for (const auto &[key, value] : span.attrs) {
+            if (key == "text")
+                texts.push_back(value);
+        }
+    }
+    std::sort(texts.begin(), texts.end());
+    return texts;
+}
+
+/** beforeRequest sink: every seq it was called with, sorted. */
+struct SeqLog
+{
+    std::mutex mutex;
+    std::vector<size_t> seqs;
+
+    LoadOptions
+    options()
+    {
+        LoadOptions load;
+        load.seed = 7;
+        load.zipfSkew = 1.0;
+        load.beforeRequest = [this](size_t seq) {
+            std::lock_guard<std::mutex> lock(mutex);
+            seqs.push_back(seq);
+        };
+        return load;
+    }
+
+    std::vector<size_t>
+    sorted()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        std::vector<size_t> out = seqs;
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+};
+
+template <typename Target>
+MeasuredLoadResult
+driveLoad(Target &target, bool open, const LoadOptions &load)
+{
+    return open ? runOpenLoop(target, 200.0, 24, load)
+                : runClosedLoop(target, 3, 8, load);
+}
+
+TEST_F(ClusterFixture, OneGeneratorServesBothTargets)
+{
+    // A leaf server and a one-shard fleet under equal LoadOptions must
+    // be offered the same requests: same hook calls, same query draws.
+    ConcurrentServerConfig leaf;
+    leaf.workers = 2;
+    leaf.queueCapacity = 256; // nothing shed, whatever the timing
+    leaf.traceSampleRate = 1.0;
+    leaf.traceCapacity = 1 << 14;
+    ClusterConfig cluster;
+    cluster.shards = 1;
+    cluster.shard = leaf;
+
+    std::vector<size_t> every_seq(24);
+    for (size_t i = 0; i < every_seq.size(); ++i)
+        every_seq[i] = i + 1;
+    for (const bool open : {true, false}) {
+        SCOPED_TRACE(open ? "open loop" : "closed loop");
+        ConcurrentServer server(*pipeline_, leaf);
+        ClusterRouter router(*pipeline_, cluster);
+        SeqLog server_log, router_log;
+        const auto alone = driveLoad(server, open, server_log.options());
+        const auto fleet = driveLoad(router, open, router_log.options());
+
+        for (const MeasuredLoadResult *result : {&alone, &fleet}) {
+            EXPECT_EQ(result->offered, every_seq.size());
+            EXPECT_EQ(result->completed + result->rejected,
+                      result->offered);
+        }
+        EXPECT_EQ(server_log.sorted(), every_seq);
+        EXPECT_EQ(router_log.sorted(), every_seq);
+        const auto texts = servedTexts(server);
+        EXPECT_EQ(texts.size(), every_seq.size());
+        EXPECT_EQ(texts, servedTexts(router.shard(0).server()));
+    }
 }
 
 TEST(ClusterConfigValidation, ZeroShardsIsFatal)

@@ -394,6 +394,14 @@ TEST(DcsimMore, EmpiricalSimulatorMatchesDeterministicLimit)
     const auto sim = dcsim::simulateQueueEmpirical(samples, 0.6, 20000);
     // M/D/1 mean sojourn: 1 + rho / (2 (1 - rho)) = 1.75.
     EXPECT_NEAR(sim.sojournSeconds.mean(), 1.75, 0.1);
+
+    // Sojourn and utilization grow from rho 0.2 to rho 0.8, and the
+    // mean sojourn never undercuts the mean service time.
+    const auto light = dcsim::simulateQueueEmpirical(samples, 0.2, 2000);
+    const auto heavy = dcsim::simulateQueueEmpirical(samples, 0.8, 2000);
+    EXPECT_GT(heavy.sojournSeconds.mean(), light.sojournSeconds.mean());
+    EXPECT_GT(heavy.utilization, light.utilization);
+    EXPECT_GE(light.sojournSeconds.mean(), 1.0);
 }
 
 TEST(DcsimMore, EmpiricalSimulatorReproducible)

@@ -14,6 +14,7 @@
 
 #include "common/deadline.h"
 #include "common/fault_injection.h"
+#include "common/timer.h"
 #include "core/concurrent_server.h"
 #include "core/server.h"
 #include "vision/landmarks.h"
@@ -224,6 +225,16 @@ class RobustnessFixture : public ::testing::Test
     someViq()
     {
         return standardQuerySet()[32];
+    }
+
+    /** Serve @p query serially, folding its result into @p stats. */
+    static void
+    serveInto(ServerStats &stats, const Query &query,
+              const ProcessOptions &options = {})
+    {
+        Stopwatch watch;
+        const SiriusResult result = pipeline_->process(query, options);
+        stats.record(result, watch.seconds());
     }
 
     static SiriusPipeline *pipeline_;
@@ -471,13 +482,12 @@ TEST_F(RobustnessFixture, DegradedFractionMatchesInjectedRate)
     ProcessOptions options;
     options.faults = &injector;
 
-    SiriusServer server(*pipeline_);
+    ServerStats stats;
     const auto queries = queriesOfType(QueryType::VoiceQuery);
     const size_t n = 200;
     for (size_t i = 0; i < n; ++i)
-        server.handle(queries[i % queries.size()], options);
+        serveInto(stats, queries[i % queries.size()], options);
 
-    const auto &stats = server.stats();
     EXPECT_EQ(stats.served, n);
     EXPECT_EQ(stats.failed, 0u); // QA loss degrades, never fails
     EXPECT_EQ(stats.degraded, injector.failuresInjected());
@@ -491,8 +501,7 @@ TEST_F(RobustnessFixture, DegradedFractionMatchesInjectedRate)
 
 TEST_F(RobustnessFixture, StatsMergeFoldsRobustnessCounters)
 {
-    SiriusServer a(*pipeline_);
-    SiriusServer b(*pipeline_);
+    ServerStats a, b;
 
     FaultConfig config;
     config.failureRate = 1.0;
@@ -507,13 +516,13 @@ TEST_F(RobustnessFixture, StatsMergeFoldsRobustnessCounters)
     ProcessOptions overdue;
     overdue.deadline = Deadline::after(0.0);
 
-    a.handle(someVq());             // clean
-    a.handle(someViq(), imm_loss);  // viq->vq with one retry
-    b.handle(someVq(), overdue);    // failed + deadline miss
+    serveInto(a, someVq());            // clean
+    serveInto(a, someViq(), imm_loss); // viq->vq with one retry
+    serveInto(b, someVq(), overdue);   // failed + deadline miss
 
     ServerStats fleet;
-    fleet.merge(a.stats());
-    fleet.merge(b.stats());
+    fleet.merge(a);
+    fleet.merge(b);
     EXPECT_EQ(fleet.served, 3u);
     EXPECT_EQ(fleet.degraded, 1u);
     EXPECT_EQ(fleet.failed, 1u);

@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for the leaf-server front end, its open-loop load test, and the
- * concurrent leaf server built on top of the same pipeline.
+ * Tests for the leaf server's statistics (ServerStats), the concurrent
+ * leaf server built on the pipeline, and the load generators and
+ * service-time probe that drive it.
  *
  * Flakiness audit: nothing here sleeps or races a wall-clock window.
- * Queueing assertions go through loadTest()'s virtual-time Lindley
- * recursion, and latency comparisons are relative (heavy vs light load
- * within one run), so a slow or preempted CI machine shifts both sides
- * together. Tests that need absolute timing use ManualTime instead
- * (see test_robustness.cc and test_batching.cc).
+ * Generator assertions are conservation laws (every request accounted
+ * for), never latency values. Queueing assertions replay measured
+ * service times through dcsim::simulateQueueEmpirical's virtual-time
+ * Lindley recursion and compare heavy vs light load within one run, so
+ * a slow or preempted CI machine shifts both sides together. Tests that need
+ * absolute timing use ManualTime instead (see test_robustness.cc and
+ * test_batching.cc).
  */
 
 #include <thread>
@@ -16,13 +19,24 @@
 
 #include <gtest/gtest.h>
 
-#include "core/concurrent_server.h"
-#include "core/server.h"
+#include "common/timer.h"
+#include "core/load_generator.h"
+#include "dcsim/simulation.h"
 
 namespace {
 
 using namespace sirius;
 using namespace sirius::core;
+
+/** Serve @p query serially, folding its result into @p stats. */
+void
+serveInto(ServerStats &stats, const SiriusPipeline &pipeline,
+          const Query &query)
+{
+    Stopwatch watch;
+    const SiriusResult result = pipeline.process(query);
+    stats.record(result, watch.seconds());
+}
 
 class ServerFixture : public ::testing::Test
 {
@@ -49,25 +63,27 @@ SiriusPipeline *ServerFixture::pipeline_ = nullptr;
 
 TEST_F(ServerFixture, StatsAccumulate)
 {
-    SiriusServer server(*pipeline_);
+    ServerStats stats;
     const auto queries = standardQuerySet();
-    server.handle(queries[0]);  // a VC
-    server.handle(queries[16]); // a VQ
-    EXPECT_EQ(server.stats().served, 2u);
-    EXPECT_EQ(server.stats().actions, 1u);
-    EXPECT_EQ(server.stats().answers, 1u);
-    EXPECT_GT(server.serviceRate(), 0.0);
+    serveInto(stats, *pipeline_, queries[0]);  // a VC
+    serveInto(stats, *pipeline_, queries[16]); // a VQ
+    EXPECT_EQ(stats.served, 2u);
+    EXPECT_EQ(stats.actions, 1u);
+    EXPECT_EQ(stats.answers, 1u);
+    EXPECT_GT(stats.serviceSeconds.mean(), 0.0);
 }
 
 TEST_F(ServerFixture, LoadTestLatencyGrowsWithLoad)
 {
-    SiriusServer server(*pipeline_);
-    for (const auto &query : standardQuerySet())
-        server.handle(query);
-    const double capacity = server.serviceRate();
+    // The replay load test: measured per-query service times fed through
+    // the virtual-time queue, as load_test's default mode does.
+    const SampleStats service = measureServiceSeconds(*pipeline_);
+    const double capacity = 1.0 / service.mean();
 
-    const auto light = loadTest(server, 0.2 * capacity, 2000);
-    const auto heavy = loadTest(server, 0.8 * capacity, 2000);
+    const auto light = dcsim::simulateQueueEmpirical(
+        service.samples(), 0.2 * capacity, 2000);
+    const auto heavy = dcsim::simulateQueueEmpirical(
+        service.samples(), 0.8 * capacity, 2000);
     EXPECT_GT(heavy.sojournSeconds.mean(), light.sojournSeconds.mean());
     EXPECT_GT(heavy.utilization, light.utilization);
     // Mean sojourn can never be below the mean service time.
@@ -77,20 +93,25 @@ TEST_F(ServerFixture, LoadTestLatencyGrowsWithLoad)
 
 TEST_F(ServerFixture, LoadTestRejectsOverload)
 {
-    SiriusServer server(*pipeline_);
-    for (const auto &query : standardQuerySet())
-        server.handle(query);
-    const double capacity = server.serviceRate();
-    EXPECT_EXIT(loadTest(server, 3.0 * capacity, 100),
-                ::testing::ExitedWithCode(1), "capacity");
+    const SampleStats service = measureServiceSeconds(*pipeline_);
+    const double capacity = 1.0 / service.mean();
+    EXPECT_EXIT(dcsim::simulateQueueEmpirical(service.samples(),
+                                              3.0 * capacity, 100),
+                ::testing::ExitedWithCode(1), "unstable");
+}
+
+TEST_F(ServerFixture, ServiceProbeTimesEveryStandardQuery)
+{
+    const SampleStats service = measureServiceSeconds(*pipeline_);
+    EXPECT_EQ(service.count(), standardQuerySet().size());
+    EXPECT_GT(service.min(), 0.0);
 }
 
 TEST_F(ServerFixture, SequentialServerRecordsStageHistograms)
 {
-    SiriusServer server(*pipeline_);
+    ServerStats stats;
     for (const auto &query : standardQuerySet())
-        server.handle(query);
-    const auto &stats = server.stats();
+        serveInto(stats, *pipeline_, query);
     EXPECT_EQ(stats.serviceHistogram.count(), stats.served);
     EXPECT_EQ(stats.asrSeconds.count(), stats.served);
     // Every query runs ASR; only VIQ queries run IMM, and its histogram
@@ -101,9 +122,9 @@ TEST_F(ServerFixture, SequentialServerRecordsStageHistograms)
 
 TEST_F(ServerFixture, ConcurrentMatchesSequentialCounts)
 {
-    SiriusServer sequential(*pipeline_);
+    ServerStats sequential;
     for (const auto &query : standardQuerySet())
-        sequential.handle(query);
+        serveInto(sequential, *pipeline_, query);
 
     ConcurrentServerConfig config;
     config.workers = 4;
@@ -117,9 +138,9 @@ TEST_F(ServerFixture, ConcurrentMatchesSequentialCounts)
     const auto stats = server.snapshot();
     EXPECT_EQ(stats.accepted, standardQuerySet().size());
     EXPECT_EQ(stats.rejected, 0u);
-    EXPECT_EQ(stats.server.served, sequential.stats().served);
-    EXPECT_EQ(stats.server.actions, sequential.stats().actions);
-    EXPECT_EQ(stats.server.answers, sequential.stats().answers);
+    EXPECT_EQ(stats.server.served, sequential.served);
+    EXPECT_EQ(stats.server.actions, sequential.actions);
+    EXPECT_EQ(stats.server.answers, sequential.answers);
     EXPECT_EQ(stats.server.serviceHistogram.count(), stats.server.served);
 }
 
@@ -207,12 +228,7 @@ TEST_F(ServerFixture, OpenLoopGeneratorAccountsForEveryRequest)
     ConcurrentServerConfig config;
     config.workers = 2;
     ConcurrentServer server(*pipeline_, config);
-    const double mu = [&] {
-        SiriusServer probe(*pipeline_);
-        for (const auto &query : standardQuerySet())
-            probe.handle(query);
-        return probe.serviceRate();
-    }();
+    const double mu = 1.0 / measureServiceSeconds(*pipeline_).mean();
 
     const auto result = runOpenLoop(server, 0.5 * mu, 40);
     EXPECT_EQ(result.offered, 40u);
@@ -237,16 +253,15 @@ TEST_F(ServerFixture, ClosedLoopGeneratorServesExactly)
 
 TEST_F(ServerFixture, StatsMergeCombinesLeafViews)
 {
-    SiriusServer a(*pipeline_);
-    SiriusServer b(*pipeline_);
+    ServerStats a, b;
     const auto &queries = standardQuerySet();
-    a.handle(queries[0]);
-    b.handle(queries[16]);
-    b.handle(queries[17]);
+    serveInto(a, *pipeline_, queries[0]);
+    serveInto(b, *pipeline_, queries[16]);
+    serveInto(b, *pipeline_, queries[17]);
 
     ServerStats fleet;
-    fleet.merge(a.stats());
-    fleet.merge(b.stats());
+    fleet.merge(a);
+    fleet.merge(b);
     EXPECT_EQ(fleet.served, 3u);
     EXPECT_EQ(fleet.actions, 1u);
     EXPECT_EQ(fleet.answers, 2u);
